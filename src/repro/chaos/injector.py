@@ -209,10 +209,13 @@ class chaos_active:
 
     def __init__(self, injector: ChaosInjector) -> None:
         self.injector = injector
+        self._previous: Optional[ChaosInjector] = None
 
     def __enter__(self) -> ChaosInjector:
+        self._previous = _ACTIVE
         install_chaos(self.injector)
         return self.injector
 
     def __exit__(self, *exc_info: object) -> None:
-        uninstall_chaos()
+        global _ACTIVE
+        _ACTIVE = self._previous

@@ -1,10 +1,12 @@
 """The shared ring buffer between leader and followers.
 
-The leader appends one entry per intercepted syscall; followers consume in
-FIFO order.  The buffer is bounded: when it fills, the leader *blocks*
-until the follower frees a slot — the mechanism behind Figure 7, where a
-2^10-entry buffer turns a background update into a multi-second service
-pause while a 2^24-entry buffer masks it entirely.
+The leader appends one entry per intercepted syscall; each follower
+reads in FIFO order through its own cursor, and a slot is freed only
+once the slowest follower has read it.  The buffer is bounded: when it
+fills, the leader *blocks* until the slowest follower frees a slot — the
+mechanism behind Figure 7, where a 2^10-entry buffer turns a background
+update into a multi-second service pause while a 2^24-entry buffer masks
+it entirely.
 
 Entries carry their produce timestamp so replay can respect causality
 (a follower cannot consume an entry before it was produced).
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Union
+from itertools import islice
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.mve.events import ControlEvent
@@ -37,9 +40,13 @@ class RingBuffer:
     """Bounded FIFO with producer back-pressure.
 
     ``push`` raises :class:`BufferFull` rather than blocking; the MVE
-    runtime catches it, advances the follower far enough to free a slot,
-    and retries — that dance is what converts a slow follower into leader
-    latency.
+    runtime catches it, advances the slowest follower far enough to free
+    a slot, and retries — that dance is what converts a slow follower
+    into leader latency.
+
+    Readers are opened with :meth:`open_reader` and passed to
+    :meth:`pop` / :meth:`pop_many`.  Without a reader those consume the
+    oldest entries: the single-consumer ring.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -50,6 +57,10 @@ class RingBuffer:
         self._produced = 0
         self._consumed = 0
         self.high_watermark = 0
+        #: Open reader -> sequence of the next entry it reads.  While any
+        #: reader is open, ``_consumed`` is the smallest of these.
+        self._cursors: Dict[int, int] = {}
+        self._next_reader = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -61,7 +72,7 @@ class RingBuffer:
 
     @property
     def consumed_total(self) -> int:
-        """Entries popped over the buffer's lifetime."""
+        """Entries freed over the buffer's lifetime."""
         return self._consumed
 
     def is_full(self) -> bool:
@@ -107,32 +118,71 @@ class RingBuffer:
         return entries
 
     def peek(self, index: int = 0) -> Optional[RingEntry]:
-        """Look at the ``index``-th unconsumed entry without removing it."""
+        """Look at the ``index``-th held entry (oldest first)."""
         if index < len(self._entries):
             return self._entries[index]
         return None
 
-    def pop(self) -> RingEntry:
-        """Consume the oldest entry."""
-        if not self._entries:
-            raise SimulationError("pop from empty ring buffer")
-        self._consumed += 1
-        return self._entries.popleft()
+    def open_reader(self) -> int:
+        """Add a reader whose cursor starts at the next push."""
+        reader = self._next_reader
+        self._next_reader += 1
+        self._cursors[reader] = self._produced
+        self._release()
+        return reader
 
-    def pop_many(self, count: int) -> List[RingEntry]:
-        """Consume the ``count`` oldest entries in one call."""
-        if count > len(self._entries):
+    def close_reader(self, reader: int) -> None:
+        """Drop a reader, freeing the slots only it still held."""
+        del self._cursors[reader]
+        self._release()
+
+    def unread(self, reader: int) -> int:
+        """Entries ``reader`` has yet to read."""
+        return self._produced - self._cursors[reader]
+
+    def pop(self, reader: Optional[int] = None) -> RingEntry:
+        """Consume one entry (see :meth:`pop_many`)."""
+        return self.pop_many(1, reader)[0]
+
+    def pop_many(self, count: int,
+                 reader: Optional[int] = None) -> List[RingEntry]:
+        """Consume ``count`` entries in one call.
+
+        These are the oldest entries, or with ``reader`` the oldest that
+        reader has not read; a slot is freed once every reader read it.
+        """
+        entries = self._entries
+        start = 0 if reader is None else self._cursors[reader] - self._consumed
+        if start + count > len(entries):
             raise SimulationError(
                 f"pop_many({count}) from ring buffer holding "
-                f"{len(self._entries)} entries")
+                f"{len(entries) - start} entries")
+        if reader is not None:
+            self._cursors[reader] += count
+            # A sole reader's cursor is the oldest slot (start == 0),
+            # so it frees exactly what it reads: the popleft path.
+            if len(self._cursors) > 1:
+                out = list(islice(entries, start, start + count))
+                self._release()
+                return out
         self._consumed += count
-        popleft = self._entries.popleft
+        popleft = entries.popleft
         return [popleft() for _ in range(count)]
 
+    def _release(self) -> None:
+        """Free every slot all open readers have read."""
+        if self._cursors:
+            oldest = min(self._cursors.values())
+            popleft = self._entries.popleft
+            for _ in range(oldest - self._consumed):
+                popleft()
+            self._consumed = oldest
+
     def clear(self) -> None:
-        """Drop all entries (used when a follower is terminated)."""
+        """Drop all entries (used when the last follower is terminated)."""
         self._consumed += len(self._entries)
         self._entries.clear()
+        self._cursors = dict.fromkeys(self._cursors, self._produced)
 
 
 class BufferFull(SimulationError):

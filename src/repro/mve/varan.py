@@ -1,26 +1,30 @@
 """The MVE runtime (Varan analogue).
 
 One :class:`VaranRuntime` supervises an MVE group: a leader executing
-against the virtual kernel and (optionally) one follower replaying the
+against the virtual kernel and zero or more followers replaying the
 leader's syscall stream through the ring buffer and rewrite rules.
+Mvedsua's leader/follower pair is the one-follower case; Varan's
+N-version mode forks more.
 
 Responsibilities, matching the paper's description of Varan plus the
 extensions Mvedsua made to it (§4):
 
 * **single-leader mode** — syscall interception with kernel-state
   tracking but no recording; the steady-state of a Mvedsua deployment.
-* **fork** — create a follower as a copy of the leader at quiescence.
+* **fork** — add a follower as a copy of the leader at quiescence.
 * **leader serving** — execute iterations, register records on the ring
-  buffer, and *block* when the buffer fills until the follower frees
-  slots (the source of Figure 7's latency dynamics).
-* **follower replay** — re-execute iterations against the expected
-  stream (leader records after rewrite rules), detecting divergences.
-* **promotion/demotion** — swap roles via a control event in the stream.
-* **failure policy** — terminate the diverging or crashed process and
-  continue with the survivor as sole leader (the paper's recovery story
-  for both new-version and old-version errors).
+  buffer, and *block* when the buffer fills until the slowest follower
+  frees slots (the source of Figure 7's latency dynamics).
+* **follower replay** — each follower reads the ring through its own
+  cursor and re-executes iterations against the expected stream (leader
+  records after its rewrite rules), detecting divergences.
+* **promotion/demotion** — swap the pair's roles via a control event in
+  the stream.
+* **failure policy** — terminate only the diverging or crashed follower;
+  a leader crash promotes the first healthy follower (the paper's
+  recovery story for both new-version and old-version errors).
 
-Virtual-time accounting: the leader and follower own separate CPUs.
+Virtual-time accounting: every process owns a separate CPU.
 Leader iterations charge leader time (with the mode's overhead factors);
 records are pushed at leader completion times; follower replay charges
 follower time, starting no earlier than the records' produce times.
@@ -104,6 +108,11 @@ class ManagedProcess:
         self.cpu = cpu
         self.label = label
         self.crashed = False
+        #: Follower state: the ring reader, the rules its replay
+        #: applies, and its queued iterations.
+        self.reader: Optional[int] = None
+        self.rules: Optional[RuleSet] = None
+        self.iterations: Deque[IterationDescriptor] = deque()
 
     @property
     def version_name(self) -> str:
@@ -139,12 +148,11 @@ class VaranRuntime:
         server.bind_gateway(gateway)
         self.leader = ManagedProcess(server, gateway, CpuAccount("leader"),
                                      "leader")
-        self.follower: Optional[ManagedProcess] = None
+        self.followers: List[ManagedProcess] = []
         #: Which stage's rules apply to follower replay.
         self.stage_direction = Direction.OUTDATED_LEADER
         #: True once the *new* version is the leader (post-promotion).
         self.leader_is_updated = False
-        self._iterations: Deque[IterationDescriptor] = deque()
         self.events: List[RuntimeEvent] = []
         self.rules_fired: List[str] = []
         self.last_divergence: Optional[DivergenceError] = None
@@ -187,9 +195,14 @@ class VaranRuntime:
     # ------------------------------------------------------------------
 
     @property
+    def follower(self) -> Optional[ManagedProcess]:
+        """The first follower, or None — the pair's follower."""
+        return self.followers[0] if self.followers else None
+
+    @property
     def in_mve_mode(self) -> bool:
         """True while a follower is attached (leader-follower mode)."""
-        return self.follower is not None
+        return bool(self.followers)
 
     def leader_mode(self) -> ExecutionMode:
         """Cost-model mode for leader execution right now."""
@@ -287,11 +300,12 @@ class VaranRuntime:
         """Push an iteration's records onto the ring buffer.
 
         Batched: each burst pushes as many records as the ring has free
-        slots, then (if records remain) replays one follower iteration
-        to free space.  Virtual-time semantics match the per-record
-        formulation exactly — a burst's records all carry the produce
-        time the per-record loop would have stamped them with, and
-        back-pressure still advances ``t`` to the replay completion.
+        slots, then (if records remain) replays one iteration on the
+        slowest follower to free space.  Virtual-time semantics match
+        the per-record formulation exactly — a burst's records all carry
+        the produce time the per-record loop would have stamped them
+        with, and back-pressure still advances ``t`` to the replay
+        completion.
         """
         t = at
         records = trace.records
@@ -299,37 +313,22 @@ class VaranRuntime:
         tracer = self.kernel.tracer
         chaos = self.kernel.chaos
         while pushed < total:
-            if self.follower is None:
-                return t  # follower died while we were blocked
+            if not self.followers:
+                return t  # every follower died while we were blocked
             if self._ring_distributed:
                 self.ring.advance(t)
                 if self._check_ring_partition(t):
                     return t
             free = self.ring.free_slots()
-            if free > 0 and chaos is not None and self._iterations \
+            if free > 0 and chaos is not None \
+                    and self._slowest().iterations \
                     and chaos.fire("mve.ring") is not None:
                 # Injected stall: pretend the ring is full so the leader
                 # blocks on one follower replay (needs a queued
-                # iteration to replay, hence the _iterations guard).
+                # iteration to replay, hence the iterations guard).
                 free = 0
             if free == 0:
-                self.ring_stalls += 1
-                if tracer is not None:
-                    tracer.on_ring_stall(t, self.ring.capacity)
-                freed_at = self._replay_one()
-                if freed_at is None and self._ring_distributed:
-                    # Nothing left to replay: the stall is the in-flight
-                    # window, freed when the earliest ack lands.
-                    freed_at = self.ring.next_free_at()
-                if freed_at is None:
-                    raise SimulationError(
-                        "ring buffer cannot hold one leader iteration "
-                        f"(capacity {self.ring.capacity})")
-                if tracer is not None and tracer.spans is not None:
-                    tracer.spans.add("mve.ring-stall", "mve", t,
-                                     max(t, freed_at),
-                                     capacity=self.ring.capacity)
-                t = max(t, freed_at)
+                t = self._stall(t)
                 continue
             take = min(free, total - pushed)
             self.ring.push_many(records[pushed:pushed + take], t)
@@ -339,15 +338,15 @@ class VaranRuntime:
                                        self.ring.high_watermark)
         if self._ring_distributed and self._check_ring_partition(t):
             return t
-        if self.follower is not None:
-            self._iterations.append(IterationDescriptor(
-                n_records=total,
-                requests=trace.requests_handled))
+        descriptor = IterationDescriptor(n_records=total,
+                                         requests=trace.requests_handled)
+        for follower in self.followers:
+            follower.iterations.append(descriptor)
         return t
 
     def _push_with_backpressure(self, payload, t: int) -> int:
         while True:
-            if self.follower is None:
+            if not self.followers:
                 return t
             if self._ring_distributed:
                 self.ring.advance(t)
@@ -357,37 +356,48 @@ class VaranRuntime:
                 self.ring.push(payload, t)
                 return t
             except BufferFull:
-                self.ring_stalls += 1
-                tracer = self.kernel.tracer
-                if tracer is not None:
-                    tracer.on_ring_stall(t, self.ring.capacity)
-                freed_at = self._replay_one()
-                if freed_at is None and self._ring_distributed:
-                    freed_at = self.ring.next_free_at()
-                if freed_at is None:
-                    raise SimulationError(
-                        "ring buffer cannot hold one leader iteration "
-                        f"(capacity {self.ring.capacity})")
-                if tracer is not None and tracer.spans is not None:
-                    tracer.spans.add("mve.ring-stall", "mve", t,
-                                     max(t, freed_at),
-                                     capacity=self.ring.capacity)
-                t = max(t, freed_at)
+                t = self._stall(t)
+
+    def _stall(self, t: int) -> int:
+        """The leader blocks on a full ring: replay one iteration on the
+        slowest follower and return when that freed space."""
+        self.ring_stalls += 1
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.on_ring_stall(t, self.ring.capacity)
+        freed_at = self._replay_one(self._slowest())
+        if freed_at is None and self._ring_distributed:
+            # Nothing left to replay: the stall is the in-flight
+            # window, freed when the earliest ack lands.
+            freed_at = self.ring.next_free_at()
+        if freed_at is None:
+            raise SimulationError(
+                "ring buffer cannot hold one leader iteration "
+                f"(capacity {self.ring.capacity})")
+        if tracer is not None and tracer.spans is not None:
+            tracer.spans.add("mve.ring-stall", "mve", t, max(t, freed_at),
+                             capacity=self.ring.capacity)
+        return max(t, freed_at)
+
+    def _slowest(self) -> ManagedProcess:
+        """The follower holding the oldest ring slot (first on ties)."""
+        return max(self.followers, key=lambda f: self.ring.unread(f.reader))
 
     def _check_ring_partition(self, t: int) -> bool:
-        """Demote the follower when a distributed ring's partition
+        """Demote the followers when a distributed ring's partition
         budget is exhausted; True when the demotion ran.  Only called
         on link-backed rings (``_ring_distributed``)."""
         ring = self.ring
-        if not ring.partition_timed_out or self.follower is None:
+        if not ring.partition_timed_out or not self.followers:
             return False
         at = max(t, ring.partition_timed_out_at or t)
         self.log(at, "ring-partition",
                  f"cumulative partition delay {ring.partition_delay_ns}ns "
                  f"exceeded the link budget "
                  f"({ring.link.demote_timeout_ns}ns)")
-        self._terminate_process(self.follower, at,
-                                reason="ring-partition-timeout")
+        for follower in list(self.followers):
+            self._terminate_process(follower, at,
+                                    reason="ring-partition-timeout")
         return True
 
     def iteration_cost(self, trace: IterationTrace,
@@ -402,25 +412,29 @@ class VaranRuntime:
     # Fork and follower replay
     # ------------------------------------------------------------------
 
-    def fork_follower(self, now: int, *,
-                      server: Optional[Any] = None) -> ManagedProcess:
-        """Fork the leader into a follower at quiescence.
+    def fork_follower(self, now: int, *, server: Optional[Any] = None,
+                      rules: Optional[RuleSet] = None) -> ManagedProcess:
+        """Fork the leader into one more follower at quiescence.
 
         ``server`` overrides the forked copy (used by Mvedsua, which
         forks and then dynamically updates the child); by default the
         follower is an identical copy — plain Varan's N-version mode.
+        ``rules`` rewrite the stream this follower replays; by default
+        it uses the runtime's ``rules``.
 
         The leader pays a copy-on-write fork pause.  Returns the new
-        follower; the follower's CPU becomes available at fork time.
+        follower; the follower's CPU becomes available at fork time and
+        it reads the ring from the next record the leader publishes.
         """
-        if self.follower is not None:
-            raise SimulationError("an MVE follower is already attached")
         fork_done = self.leader.cpu.charge(now, FORK_PAUSE_NS)
         forked = server if server is not None else self.leader.server.fork()
         gateway = SyscallGateway(self.kernel, self.domain, GatewayRole.REPLAY)
         forked.bind_gateway(gateway)
         cpu = self.leader.cpu.fork("follower", at=fork_done)
-        self.follower = ManagedProcess(forked, gateway, cpu, "follower")
+        follower = ManagedProcess(forked, gateway, cpu, "follower")
+        follower.rules = rules if rules is not None else self.rules
+        follower.reader = self.ring.open_reader()
+        self.followers.append(follower)
         if self._ring_distributed:
             # A fresh follower rejoins the replicated stream from the
             # fork point: flush the wire and reset partition accounting.
@@ -429,38 +443,37 @@ class VaranRuntime:
         recorder = self.recorder
         if recorder is not None:
             recorder.on_fork(fork_done, forked.version.name)
-        return self.follower
+        return follower
 
-    def drain_follower(self, *, max_iterations: Optional[int] = None) -> Optional[int]:
-        """Replay queued iterations on the follower.
+    def drain_follower(self) -> Optional[int]:
+        """Replay every follower's queued iterations.
 
-        Returns the follower's completion time of the last replayed
-        iteration, or None when nothing was replayed.
+        Returns the completion time of the last replayed iteration, or
+        None when nothing was replayed.
         """
         last = None
-        replayed = 0
-        while self._iterations and self.follower is not None:
-            if max_iterations is not None and replayed >= max_iterations:
-                break
-            last = self._replay_one()
-            replayed += 1
+        for follower in list(self.followers):
+            while follower.iterations:
+                last = self._replay_one(follower)
         return last
 
-    def _replay_one(self) -> Optional[int]:
-        """Replay one queued iteration; returns its completion time."""
-        if not self._iterations or self.follower is None:
+    def _replay_one(self, follower: ManagedProcess) -> Optional[int]:
+        """Replay ``follower``'s oldest queued iteration; returns its
+        completion time."""
+        if not follower.iterations:
             return None
-        descriptor = self._iterations.popleft()
+        descriptor = follower.iterations.popleft()
         if descriptor.control is not None:
-            entry = self.ring.pop()
-            swap_at = max(self.follower.cpu.busy_until, entry.produced_at)
+            entry = self.ring.pop(follower.reader)
+            swap_at = max(follower.cpu.busy_until, entry.produced_at)
             if descriptor.control.kind is ControlKind.PROMOTE:
                 self._swap_roles(swap_at)
             return swap_at
 
-        entries = self.ring.pop_many(descriptor.n_records)
+        entries = self.ring.pop_many(descriptor.n_records, follower.reader)
         ready_at = max((entry.produced_at for entry in entries), default=0)
-        expected = self._rewrite(entry.payload for entry in entries)
+        expected = self._rewrite((entry.payload for entry in entries),
+                                 follower.rules)
 
         fault = None
         chaos = self.kernel.chaos
@@ -470,7 +483,6 @@ class VaranRuntime:
         if fault is not None and fault.kind == "corrupt-record":
             expected = _corrupt_expected(expected, fault.param)
 
-        follower = self.follower
         gateway = follower.gateway
         stream = iter(expected)
         gateway.expected_source = lambda: next(stream, None)
@@ -514,9 +526,9 @@ class VaranRuntime:
             tracer.on_divergence_check(done, True, len(entries))
         return done
 
-    def _rewrite(self, payloads) -> List[SyscallRecord]:
+    def _rewrite(self, payloads, rules: RuleSet) -> List[SyscallRecord]:
         """Run one iteration's leader records through the stage rules."""
-        engine = self.rules.engine_for_stage(self.stage_direction)
+        engine = rules.engine_for_stage(self.stage_direction)
         n_in = 0
         for payload in payloads:
             engine.offer(payload)
@@ -537,13 +549,16 @@ class VaranRuntime:
         tracer = self.kernel.tracer
         history = tracer.ring_history if tracer is not None else entries
         engine = self._last_engine
+        ring = self.ring
+        held = len(ring)
         return build_divergence_bundle(
             at=at,
             version=follower.version_name,
             leader_version=self.leader.version_name,
             error=divergence,
             ring_history=history,
-            ring_pending=[self.ring.peek(i) for i in range(len(self.ring))],
+            ring_pending=[ring.peek(i) for i in
+                          range(held - ring.unread(follower.reader), held)],
             expected_records=expected,
             issued_records=follower.gateway.trace.records,
             rule_window=engine.pending_window() if engine is not None else 0,
@@ -559,10 +574,16 @@ class VaranRuntime:
 
         The leader registers a promotion event and stops serving; the
         follower drains the buffer, observes the event, and takes over.
-        Returns t5, when the new leader resumes service.
+        Returns t5, when the new leader resumes service.  Only a pair
+        can swap: with several followers attached this is refused.
         """
-        if self.follower is None:
+        if not self.followers:
             raise SimulationError("no follower to promote")
+        if len(self.followers) > 1:
+            raise SimulationError(
+                f"promote swaps a leader/follower pair; "
+                f"{len(self.followers)} followers are attached")
+        follower = self.followers[0]
         start = max(now, self.leader.cpu.busy_until)
         event = ControlEvent(ControlKind.PROMOTE, at=start,
                              version=self.leader.version_name)
@@ -570,12 +591,12 @@ class VaranRuntime:
         if tracer is not None:
             tracer.on_control("promote", start, self.leader.version_name)
         self._push_with_backpressure(event, start)
-        self._iterations.append(IterationDescriptor(
+        follower.iterations.append(IterationDescriptor(
             n_records=1, requests=0, control=event))
         self.log(start, "demote-requested", event.describe())
         last = None
-        while self._iterations and self.follower is not None:
-            last = self._replay_one()
+        while follower.iterations:
+            last = self._replay_one(follower)
         done = last if last is not None else start
         if tracer is not None and tracer.spans is not None:
             tracer.spans.add("mve.promote", "mve", start, done,
@@ -590,65 +611,75 @@ class VaranRuntime:
         return done
 
     def _swap_roles(self, at: int) -> None:
-        old_leader, new_leader = self.leader, self.follower
-        assert new_leader is not None
+        old_leader, new_leader = self.leader, self.followers[0]
         old_leader.gateway.role = GatewayRole.REPLAY
         old_leader.label = "follower"
         new_leader.gateway.role = GatewayRole.DIRECT
         new_leader.label = "leader"
         new_leader.cpu.block_until(at)
-        self.leader, self.follower = new_leader, old_leader
+        # The old leader takes the follower's place on the ring.
+        old_leader.reader, new_leader.reader = new_leader.reader, None
+        old_leader.rules = new_leader.rules
+        old_leader.iterations, new_leader.iterations = \
+            new_leader.iterations, old_leader.iterations
+        self.leader, self.followers[0] = new_leader, old_leader
         self.stage_direction = Direction.UPDATED_LEADER
         self.leader_is_updated = True
         self.log(at, "promoted", new_leader.version_name)
 
     def finalize(self, now: int) -> int:
-        """Terminate the follower and return to single-leader mode (t6)."""
-        if self.follower is None:
+        """Terminate the followers and return to single-leader mode (t6)."""
+        if not self.followers:
             raise SimulationError("no follower to finalize")
         self.drain_follower()
-        if self.follower is not None:
-            at = max(now, self.follower.cpu.busy_until)
-            self._terminate_process(self.follower, at, reason="finalize")
-            return at
+        if self.followers:
+            return self.terminate_follower(now, reason="finalize")
         return now
 
     def terminate_follower(self, now: int, reason: str = "operator") -> int:
-        """Explicitly drop the follower (operator-initiated rollback)."""
-        if self.follower is None:
+        """Explicitly drop the followers (operator-initiated rollback)."""
+        if not self.followers:
             raise SimulationError("no follower to terminate")
-        at = max(now, self.follower.cpu.busy_until)
-        self._terminate_process(self.follower, at, reason=reason)
-        return at
+        done = now
+        for follower in list(self.followers):
+            at = max(now, follower.cpu.busy_until)
+            self._terminate_process(follower, at, reason=reason)
+            done = max(done, at)
+        return done
 
     def _terminate_process(self, process: ManagedProcess, at: int,
                            reason: str) -> None:
-        """Drop ``process`` from the group; survivor becomes sole leader."""
-        if process is self.follower:
-            self.follower = None
+        """Drop follower ``process``; the rest of the group carries on."""
+        self._detach(process)
+        tracer = self.kernel.tracer
+        if tracer is not None and tracer.spans is not None:
+            tracer.spans.add("mve.demotion", "mve", at, at, reason=reason)
+        self.log(at, "follower-terminated", reason)
+
+    def _detach(self, process: ManagedProcess) -> None:
+        """Remove a follower and release the ring slots only it held;
+        the ring is cleared when the last follower leaves."""
+        self.followers.remove(process)
+        self.ring.close_reader(process.reader)
+        process.iterations.clear()
+        if not self.followers:
             self.ring.clear()
-            self._iterations.clear()
-            tracer = self.kernel.tracer
-            if tracer is not None and tracer.spans is not None:
-                tracer.spans.add("mve.demotion", "mve", at, at,
-                                 reason=reason)
-            self.log(at, "follower-terminated", reason)
-        else:  # pragma: no cover - leader termination goes via crash path
-            raise SimulationError("cannot terminate the leader directly")
 
     def _handle_leader_crash(self, at: int, trace: IterationTrace) -> int:
-        """The paper's old-version-error recovery: promote the follower."""
+        """The paper's old-version-error recovery: promote the first
+        healthy follower; any others keep following it."""
         crashed_version = self.leader.version_name
         self.leader.crashed = True
-        if self.follower is None or self.follower.crashed:
+        if not self.followers:
             raise ServerCrash("leader crashed with no healthy follower",
                               pid=self.domain)
-        # Let the follower catch up on everything before the crash.
+        # Let the followers catch up on everything before the crash.
         self.drain_follower()
-        if self.follower is None:
+        if not self.followers:
             raise ServerCrash("follower died during crash recovery",
                               pid=self.domain)
-        survivor = self.follower
+        survivor = self.followers[0]
+        self._detach(survivor)
         at = max(at, survivor.cpu.busy_until)
         # Re-deliver the input the crashed leader had consumed so the
         # promoted process can serve it.
@@ -657,9 +688,6 @@ class VaranRuntime:
         survivor.label = "leader"
         survivor.cpu.block_until(at)
         self.leader = survivor
-        self.follower = None
-        self.ring.clear()
-        self._iterations.clear()
         self.leader_is_updated = True
         tracer = self.kernel.tracer
         if tracer is not None and tracer.spans is not None:

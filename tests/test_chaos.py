@@ -13,8 +13,10 @@ from repro.chaos import (
     at_time,
     chaos_active,
     current_chaos,
+    install_chaos,
     load_plan,
     on_call,
+    uninstall_chaos,
     when,
 )
 from repro.chaos.invariants import ClientObservation, check_run
@@ -172,6 +174,25 @@ class TestInjector:
         with chaos_active(ChaosInjector(FaultPlan("p"))) as injector:
             assert current_chaos() is injector
         assert current_chaos() is None
+
+    def test_nested_chaos_active_restores_the_outer_injector(self):
+        outer = ChaosInjector(FaultPlan("outer"))
+        inner = ChaosInjector(FaultPlan("inner"))
+        with chaos_active(outer):
+            with chaos_active(inner):
+                assert current_chaos() is inner
+            assert current_chaos() is outer
+        assert current_chaos() is None
+
+    def test_chaos_active_restores_an_installed_injector(self):
+        installed = ChaosInjector(FaultPlan("installed"))
+        install_chaos(installed)
+        try:
+            with chaos_active(ChaosInjector(FaultPlan("scoped"))):
+                pass
+            assert current_chaos() is installed
+        finally:
+            uninstall_chaos()
 
 
 # ---------------------------------------------------------------------------

@@ -214,3 +214,66 @@ def test_batched_ops_match_singleton_ops(batch_sizes, capacity):
         assert batched.produced_total == naive.produced_total
         assert batched.consumed_total == naive.consumed_total
         assert batched.high_watermark == naive.high_watermark
+
+
+# ---------------------------------------------------------------------------
+# Several readers, one cursor each (N-version followers)
+# ---------------------------------------------------------------------------
+
+
+def test_slot_freed_only_when_every_reader_read_it():
+    ring = RingBuffer(capacity=4)
+    fast, slow = ring.open_reader(), ring.open_reader()
+    ring.push_many([rec(i) for i in range(3)], produced_at=0)
+    assert [e.sequence for e in ring.pop_many(3, fast)] == [0, 1, 2]
+    assert ring.unread(fast) == 0 and ring.unread(slow) == 3
+    assert len(ring) == 3  # the slow reader still holds every slot
+    assert ring.pop(slow).sequence == 0
+    assert len(ring) == 2
+    assert ring.consumed_total == 1
+
+
+def test_closing_a_reader_releases_only_its_slots():
+    ring = RingBuffer(capacity=4)
+    fast, slow = ring.open_reader(), ring.open_reader()
+    ring.push_many([rec(i) for i in range(3)], produced_at=0)
+    ring.pop(fast)
+    ring.close_reader(slow)
+    assert len(ring) == 2
+    assert [e.sequence for e in ring.pop_many(2, fast)] == [1, 2]
+    assert ring.is_empty()
+
+
+def test_reader_starts_at_the_next_push():
+    ring = RingBuffer(capacity=4)
+    early = ring.open_reader()
+    ring.push(rec(0), 0)
+    late = ring.open_reader()
+    ring.push(rec(1), 0)
+    assert ring.unread(early) == 2 and ring.unread(late) == 1
+    assert ring.pop(late).sequence == 1
+    with pytest.raises(SimulationError, match="holding 0"):
+        ring.pop(late)
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)),
+                max_size=80))
+def test_every_reader_sees_every_push_in_order(ops):
+    """Reader r pops in FIFO order; occupancy is the slowest backlog."""
+    ring = RingBuffer(capacity=8)
+    readers = [ring.open_reader() for _ in range(3)]
+    seen = {reader: [] for reader in readers}
+    pushed = 0
+    for who, count in ops:
+        if who == 0:
+            if count > ring.free_slots():
+                continue
+            ring.push_many([rec(pushed + i) for i in range(count)], 0)
+            pushed += count
+        else:
+            reader = readers[who - 1]
+            count = min(count, ring.unread(reader))
+            seen[reader] += [e.sequence for e in ring.pop_many(count, reader)]
+        assert len(ring) == max(ring.unread(r) for r in readers)
+    for reader in readers:
+        assert seen[reader] == list(range(len(seen[reader])))

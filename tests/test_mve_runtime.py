@@ -87,11 +87,12 @@ class TestIdenticalFollower:
         assert runtime.ring.is_empty()
         assert len(runtime.follower.server.heap["table"]) == 5
 
-    def test_double_fork_rejected(self):
+    def test_second_fork_adds_a_follower(self):
         _, runtime, _ = make_runtime()
-        runtime.fork_follower(0)
-        with pytest.raises(SimulationError):
-            runtime.fork_follower(1)
+        first = runtime.fork_follower(0)
+        second = runtime.fork_follower(1)
+        assert runtime.followers == [first, second]
+        assert runtime.follower is first
 
     def test_fork_charges_leader_pause(self):
         _, runtime, _ = make_runtime()
@@ -213,6 +214,13 @@ class TestPromotion:
         with pytest.raises(SimulationError):
             runtime.promote(0)
 
+    def test_promote_with_several_followers_rejected(self):
+        _, runtime, _ = make_runtime()
+        runtime.fork_follower(0)
+        runtime.fork_follower(0)
+        with pytest.raises(SimulationError, match="2 followers"):
+            runtime.promote(10**9)
+
 
 class TestLeaderCrashFailover:
     class CrashingV1(KVStoreV1):
@@ -302,13 +310,24 @@ class TestBackPressure:
         client.command(runtime, b"PUT a 1", now=10**9)
         entries = [runtime.ring.pop() for _ in range(len(runtime.ring))]
         stamps = []
-        for descriptor in runtime._iterations:
+        for descriptor in runtime.follower.iterations:
             burst = entries[:descriptor.n_records]
             entries = entries[descriptor.n_records:]
             assert len({e.produced_at for e in burst}) == 1
             stamps.append(burst[0].produced_at)
         assert not entries  # descriptors account for every ring entry
         assert stamps == sorted(stamps)
+
+    def test_slowest_follower_bounds_the_leader(self):
+        _, runtime, client = make_runtime(ring_capacity=32)
+        runtime.fork_follower(0)
+        slow = runtime.fork_follower(0)
+        slow.cpu.block_until(10**12)
+        last = 0
+        for index in range(30):
+            _, last = client.request(runtime, b"PUT k%02d v\r\n" % index,
+                                     now=10**9)
+        assert last >= 10**12  # stalled behind the slow follower
 
     def test_high_watermark_tracks_backlog(self):
         _, runtime, client = make_runtime(ring_capacity=1 << 10)
@@ -318,3 +337,200 @@ class TestBackPressure:
         assert runtime.ring.high_watermark > 0
         runtime.drain_follower()
         assert runtime.ring.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# N-version execution: one leader, several followers on one ring
+# ---------------------------------------------------------------------------
+
+
+class CrashOnK5(KVStoreV1):
+    """A diversified replica with a bug on one specific key."""
+
+    def handle(self, heap, request, session=None, io=None):
+        if request.startswith(b"PUT k5 "):
+            raise ServerCrash("replica-specific bug")
+        return super().handle(heap, request, session, io)
+
+
+def updated_copy(runtime):
+    """A fork of the leader dynamically updated to v2."""
+    updated = runtime.leader.server.fork()
+    updated.apply_version(KVStoreV2(), xform_1_to_2(dict(updated.heap)))
+    return updated
+
+
+class TestThreeIdenticalVersions:
+    def test_all_replicas_converge(self):
+        _, runtime, client = make_runtime()
+        runtime.fork_follower(0)
+        runtime.fork_follower(0)
+        assert len(runtime.followers) == 2
+        for index in range(8):
+            client.command(runtime, b"PUT k%d v%d" % (index, index),
+                           now=10**9 + index)
+        runtime.drain_follower()
+        assert "divergence" not in runtime.event_kinds()
+        assert runtime.ring.is_empty()
+        heaps = [f.server.heap for f in runtime.followers]
+        assert all(h == runtime.leader.server.heap for h in heaps)
+
+    def test_leader_costs_more_with_followers(self):
+        _, solo, client_a = make_runtime()
+        client_a.command(solo, b"PUT a 1")
+        _, group, client_b = make_runtime()
+        group.fork_follower(0)
+        group.fork_follower(0)
+        client_b.command(group, b"PUT a 1", now=10**9)
+        # Same work, but the group leader paid recording overhead.
+        assert group.leader.cpu.total_busy > solo.leader.cpu.total_busy
+
+
+class TestPartialFailure:
+    def test_buggy_replica_terminated_others_continue(self):
+        _, runtime, client = make_runtime()
+        runtime.fork_follower(0)  # healthy copy
+        buggy = runtime.leader.server.fork()
+        buggy.version = CrashOnK5()
+        buggy.program.version = buggy.version
+        runtime.fork_follower(0, server=buggy)
+        assert len(runtime.followers) == 2
+        for index in range(8):
+            client.command(runtime, b"PUT k%d v" % index, now=10**9 + index)
+        runtime.drain_follower()
+        # Only the buggy follower died; leader + healthy follower live.
+        assert len(runtime.followers) == 1
+        assert "follower-crash" in runtime.event_kinds()
+        assert client.command(runtime, b"GET k5",
+                              now=10**10) == b"v\r\n"
+
+    def test_divergent_replica_terminated(self):
+        _, runtime, client = make_runtime()
+        runtime.fork_follower(0)
+        runtime.fork_follower(0, server=updated_copy(runtime))  # no rules!
+        client.command(runtime, b"PUT-number pi 3", now=10**9)
+        runtime.drain_follower()
+        assert len(runtime.followers) == 1
+        assert runtime.event_kinds().count("divergence") == 1
+
+    def test_rules_are_per_follower(self):
+        _, runtime, client = make_runtime()
+        runtime.fork_follower(0)  # identical: needs no rules
+        runtime.fork_follower(0, server=updated_copy(runtime),
+                              rules=kv_rules())
+        client.command(runtime, b"PUT-number pi 3", now=10**9)
+        client.command(runtime, b"PUT a 1", now=2 * 10**9)
+        runtime.drain_follower()
+        # With its rules, the updated follower survives alongside the
+        # identical one.
+        assert len(runtime.followers) == 2
+        assert "divergence" not in runtime.event_kinds()
+
+    def test_dead_follower_keeps_the_survivors_unread_slots(self):
+        """Follower 2 of 2 diverges mid-stream while follower 1 still
+        has unread records on the ring; releasing the dead follower's
+        slots must not drop them."""
+        _, runtime, client = make_runtime(ring_capacity=16)
+        survivor = runtime.fork_follower(0)
+        runtime.fork_follower(0, server=updated_copy(runtime))  # no rules!
+        unread_at_divergence = []
+
+        def observe(event):
+            if event.kind == "divergence":
+                unread_at_divergence.append(
+                    runtime.ring.unread(survivor.reader))
+
+        runtime.observer = observe
+        commands = [b"PUT k%d v" % index for index in range(4)]
+        commands.append(b"PUT-number pi 3")
+        commands += [b"PUT k%d v" % index for index in range(5, 24)]
+        for offset, command in enumerate(commands):
+            client.command(runtime, command, now=10**9 + offset)
+        runtime.drain_follower()
+        assert unread_at_divergence and unread_at_divergence[0] > 0
+        assert runtime.followers == [survivor]
+        assert runtime.event_kinds().count("divergence") == 1
+        assert runtime.ring.is_empty()
+        assert survivor.server.heap == runtime.leader.server.heap
+
+
+class TestLeaderFailover:
+    class FragileLeader(KVStoreV1):
+        def handle(self, heap, request, session=None, io=None):
+            if request.startswith(b"BOOM"):
+                raise ServerCrash("leader-only bug")
+            return super().handle(heap, request, session, io)
+
+    def make_fragile(self):
+        kernel = VirtualKernel()
+        server = KVStoreServer(self.FragileLeader())
+        server.attach(kernel)
+        runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
+                               with_kitsune=False)
+        return server, runtime, VirtualClient(kernel, server.address)
+
+    def test_first_healthy_follower_promoted(self):
+        server, runtime, client = self.make_fragile()
+        client.command(runtime, b"PUT a 1")
+        fixed = server.fork()
+        fixed.apply_version(KVStoreV2(), xform_1_to_2(dict(fixed.heap)))
+        runtime.fork_follower(10**9, server=fixed, rules=kv_rules())
+        reply = client.command(runtime, b"BOOM", now=2 * 10**9)
+        assert reply == b"-ERR unknown command\r\n"
+        assert runtime.leader.version_name == "2.0"
+        assert "follower-promoted-after-crash" in runtime.event_kinds()
+        assert client.command(runtime, b"GET a",
+                              now=3 * 10**9) == b"1\r\n"
+
+    def test_other_followers_follow_the_promoted_leader(self):
+        server, runtime, client = self.make_fragile()
+        client.command(runtime, b"PUT a 1")
+        healthy = []
+        for _ in range(2):
+            copy = server.fork()
+            copy.version = KVStoreV1()
+            copy.program.version = copy.version
+            healthy.append(runtime.fork_follower(10**9, server=copy))
+        client.command(runtime, b"PUT b 2", now=2 * 10**9)
+        reply = client.command(runtime, b"BOOM", now=3 * 10**9)
+        assert reply == b"-ERR unknown command\r\n"
+        assert runtime.leader is healthy[0]
+        assert runtime.followers == [healthy[1]]
+        client.command(runtime, b"PUT c 3", now=4 * 10**9)
+        runtime.drain_follower()
+        assert "divergence" not in runtime.event_kinds()
+        assert healthy[1].server.heap == runtime.leader.server.heap
+
+    def test_crash_with_no_followers_propagates(self):
+        _, runtime, client = self.make_fragile()
+        with pytest.raises(ServerCrash):
+            client.command(runtime, b"BOOM")
+
+
+class TestMxScenario:
+    """Mx (§7) runs two versions side by side from the start — no DSU —
+    and tolerates a bug in one version by using the other.  That is the
+    N-version runtime with a differently-versioned follower."""
+
+    def test_two_versions_from_the_start_tolerate_old_bug(self):
+        from repro.servers.redis import RedisServer, redis_rules, redis_version
+        kernel = VirtualKernel()
+        server = RedisServer(redis_version("2.0.0", hmget_bug=True))
+        server.attach(kernel)
+        runtime = VaranRuntime(kernel, server, PROFILES["redis"],
+                               with_kitsune=False)
+        client = VirtualClient(kernel, server.address)
+        fixed = server.fork()
+        fixed.apply_version(redis_version("2.0.1", hmget_bug=False),
+                            dict(fixed.heap))
+        runtime.fork_follower(0, server=fixed,
+                              rules=redis_rules("2.0.0", "2.0.1"))
+        client.command(runtime, b"SET wrongtype v", now=10**9)
+        # The buggy leader crashes on the bad HMGET; the fixed follower
+        # takes over and answers the re-delivered request.
+        reply = client.command(runtime, b"HMGET wrongtype f",
+                               now=2 * 10**9)
+        assert b"wrong kind of value" in reply
+        assert runtime.leader.version_name == "2.0.1"
+        assert client.command(runtime, b"GET wrongtype",
+                              now=3 * 10**9) == b"$1\r\nv\r\n"

@@ -103,6 +103,39 @@ def test_identical_follower_never_diverges(commands):
     assert runtime.follower.server.heap == runtime.leader.server.heap
 
 
+def _serve_with_followers(commands, n_followers):
+    kernel = VirtualKernel()
+    server = KVStoreServer(KVStoreV1())
+    server.attach(kernel)
+    runtime = VaranRuntime(kernel, server, PROFILES["kvstore"],
+                           ring_capacity=1 << 12)
+    client = VirtualClient(kernel, server.address)
+    for _ in range(n_followers):
+        runtime.fork_follower(0)
+    now = 10**9  # after every fork pause
+    for command in commands:
+        _, now = client.request(runtime, command + b"\r\n", now)
+    runtime.drain_follower()
+    return runtime
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(v1_commands, min_size=1, max_size=20))
+def test_extra_followers_leave_the_leader_unchanged(commands):
+    """Followers on one ring only add replay: with a ring that never
+    stalls, the leader serves N = 3 exactly as it serves N = 1, and
+    every follower converges to the leader's state."""
+    pair = _serve_with_followers(commands, 1)
+    group = _serve_with_followers(commands, 3)
+    assert pair.ring_stalls == group.ring_stalls == 0
+    assert group.completions == pair.completions
+    assert len(group.followers) == 3
+    for runtime in (pair, group):
+        assert runtime.last_divergence is None
+        for follower in runtime.followers:
+            assert follower.server.heap == runtime.leader.server.heap
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.one_of(v1_commands, typed_commands),
                 min_size=1, max_size=20))
