@@ -228,11 +228,9 @@ class VirtualKernel:
     def epoll_create(self, domain_id: int) -> int:
         """New epoll instance; returns its fd."""
         domain = self._domain(domain_id)
-        fd_holder: List[int] = []
         epoll = EpollSet(epfd=-1)
         fd = domain.alloc(epoll)
         epoll.epfd = fd
-        del fd_holder
         return fd
 
     def epoll_ctl(self, domain_id: int, epfd: int, fd: int, *, add: bool) -> None:

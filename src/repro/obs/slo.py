@@ -34,7 +34,7 @@ only, so scenario runners at any layer can import it without cycles.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.obs.spans import PHASES, Span, SpanCollector
@@ -134,51 +134,72 @@ class SloSpec:
 # ---------------------------------------------------------------------------
 # Sample extraction and critical-path attribution
 # ---------------------------------------------------------------------------
+#
+# A cell reduction is linear in its spans: one pass lists the pause
+# windows, each request is then tagged against that short list, and only
+# a cell with an SLO-violating request pays a second pass to index the
+# blameable spans and every span's parent link.
 
-def effective_phase(request: Span, collector: SpanCollector) -> str:
-    """The upgrade phase the request was *actually* served in.
+def _pause_windows(spans: List[Span]) -> List[Tuple[int, int]]:
+    """The closed quiesce/fork intervals among ``spans``."""
+    return [(span.start_ns, span.end_ns) for span in spans
+            if span.kind in ("dsu.quiesce", "dsu.fork")
+            and span.end_ns is not None]
 
-    The stamped phase is the collector's phase at admission; a request
-    that overlaps a quiescence or fork window was paused by the update
-    regardless of when it was admitted, so it reports ``quiesce-pause``.
-    """
+
+def _phase(request: Span, pauses: List[Tuple[int, int]]) -> str:
     if request.end_ns is None:
         return request.phase
-    for span in collector.spans:
-        if span.kind in ("dsu.quiesce", "dsu.fork") \
-                and span.overlap_ns(request.start_ns, request.end_ns) > 0:
+    for start_ns, end_ns in pauses:
+        if min(end_ns, request.end_ns) > max(start_ns, request.start_ns):
             return "quiesce-pause"
     return request.phase
 
 
-def _descendant_ids(request: Span, collector: SpanCollector) -> set:
-    ids = {request.span_id}
-    # Spans are appended in creation order, so one forward pass links
-    # every descendant (a child is always created after its parent).
-    for span in collector.spans:
-        if span.parent_id in ids:
-            ids.add(span.span_id)
-    return ids
+#: ``span_id -> (position, parent_id)`` for every span of a cell.
+_Links = Dict[int, Tuple[int, Optional[int]]]
+#: The closed blameable spans as ``(position, span, category)``.
+_Blames = List[Tuple[int, Span, str]]
 
 
-def attribute_request(request: Span,
-                      collector: SpanCollector) -> Dict[str, Any]:
-    """Critical-path attribution for one (closed) request span.
-
-    Returns ``{"blame": category, "blame_ns": ns, "breakdown": {...}}``:
-    child waits count in full, background waits count by overlap with
-    the request window, and the dominant category wins (ties break
-    alphabetically so reports are bit-stable).  ``self`` means the
-    request's own service time dominates every blameable wait.
-    """
-    assert request.end_ns is not None
-    descendants = _descendant_ids(request, collector)
-    breakdown: Dict[str, int] = {}
-    for span in collector.spans:
+def _blame_index(spans: List[Span]) -> Tuple[_Blames, _Links]:
+    blames: _Blames = []
+    links: _Links = {}
+    for position, span in enumerate(spans):
+        links[span.span_id] = (position, span.parent_id)
         category = BLAME.get(span.kind)
-        if category is None or span.end_ns is None:
-            continue
-        if span.span_id in descendants:
+        if category is not None and span.end_ns is not None:
+            blames.append((position, span, category))
+    return blames, links
+
+
+def _descends_from(request_id: int, position: int,
+                   parent_id: Optional[int], links: _Links) -> bool:
+    """Whether the span at ``position`` (with ``parent_id``) descends
+    from the request.
+
+    Spans are appended in creation order and a child is created after
+    its parent, so a link to a parent created *after* the child (or to a
+    missing span) ends the walk: such a parent never counts as an
+    ancestor.  The request itself counts wherever it sits.
+    """
+    while parent_id is not None:
+        if parent_id == request_id:
+            return True
+        link = links.get(parent_id)
+        if link is None or link[0] >= position:
+            return False
+        position, parent_id = link
+    return False
+
+
+def _attribute(request: Span, blames: _Blames,
+               links: _Links) -> Dict[str, Any]:
+    assert request.end_ns is not None
+    breakdown: Dict[str, int] = {}
+    for position, span, category in blames:
+        if _descends_from(request.span_id, position, span.parent_id,
+                          links):
             ns = span.end_ns - span.start_ns
         else:
             ns = span.overlap_ns(request.start_ns, request.end_ns)
@@ -191,6 +212,29 @@ def attribute_request(request: Span,
     blame = min(breakdown, key=lambda cat: (-breakdown[cat], cat))
     return {"blame": blame, "blame_ns": breakdown[blame],
             "breakdown": dict(sorted(breakdown.items()))}
+
+
+def effective_phase(request: Span, collector: SpanCollector) -> str:
+    """The upgrade phase the request was *actually* served in.
+
+    The stamped phase is the collector's phase at admission; a request
+    that overlaps a quiescence or fork window was paused by the update
+    regardless of when it was admitted, so it reports ``quiesce-pause``.
+    """
+    return _phase(request, _pause_windows(collector.spans))
+
+
+def attribute_request(request: Span,
+                      collector: SpanCollector) -> Dict[str, Any]:
+    """Critical-path attribution for one (closed) request span.
+
+    Returns ``{"blame": category, "blame_ns": ns, "breakdown": {...}}``:
+    child waits count in full, background waits count by overlap with
+    the request window, and the dominant category wins (ties break
+    alphabetically so reports are bit-stable).  ``self`` means the
+    request's own service time dominates every blameable wait.
+    """
+    return _attribute(request, *_blame_index(collector.spans))
 
 
 def collect_cell(collector: SpanCollector, cell: str,
@@ -206,6 +250,8 @@ def collect_cell(collector: SpanCollector, cell: str,
     phase_values: Dict[str, Dict[str, int]] = {}
     violations: List[Dict[str, Any]] = []
     requests = answered = 0
+    pauses = _pause_windows(collector.spans)
+    index: Optional[Tuple[_Blames, _Links]] = None
     for request in collector.request_spans():
         if request.end_ns is None:
             continue
@@ -214,12 +260,14 @@ def collect_cell(collector: SpanCollector, cell: str,
                 and not request.attrs.get("error"):
             answered += 1
         latency = request.end_ns - request.start_ns
-        phase = effective_phase(request, collector)
+        phase = _phase(request, pauses)
         values = phase_values.setdefault(phase, {})
         key = str(latency)
         values[key] = values.get(key, 0) + 1
         if spec.p99_ns is not None and latency > spec.p99_ns:
-            attribution = attribute_request(request, collector)
+            if index is None:
+                index = _blame_index(collector.spans)
+            attribution = _attribute(request, *index)
             violations.append({
                 "cell": cell,
                 "client": request.attrs.get("client", ""),

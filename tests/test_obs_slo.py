@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from repro.obs.metrics import Histogram
 from repro.obs.slo import (
     BLAME,
+    SELF_BLAME,
     SLO_SCHEMA,
     SloSpec,
+    _blame_index,
+    _descends_from,
     attribute_request,
     collect_cell,
     effective_phase,
@@ -27,7 +30,7 @@ from repro.obs.slo import (
 )
 from repro.obs.slo_cli import slo_main
 from repro.obs.slo_scenarios import SLO_SPECS, run_slo_scenario
-from repro.obs.spans import SpanCollector
+from repro.obs.spans import PHASES, SpanCollector
 
 values_lists = st.lists(st.integers(min_value=0, max_value=10**12),
                         min_size=1, max_size=200)
@@ -158,6 +161,221 @@ class TestAttribution:
         c.close(miss, 210)
         assert effective_phase(hit, c) == "quiesce-pause"
         assert effective_phase(miss, c) == "normal"
+
+
+# ---------------------------------------------------------------------------
+# The indexed cell reduction vs a direct per-request rescan
+# ---------------------------------------------------------------------------
+#
+# The oracle is the direct O(requests x spans) reduction: every request
+# rescans the cell for pause windows, and every violating request
+# rescans it twice more for its descendants and its blameable waits.
+
+
+def _oracle_effective_phase(request, collector):
+    if request.end_ns is None:
+        return request.phase
+    for span in collector.spans:
+        if span.kind in ("dsu.quiesce", "dsu.fork") \
+                and span.overlap_ns(request.start_ns, request.end_ns) > 0:
+            return "quiesce-pause"
+    return request.phase
+
+
+def _oracle_descendant_ids(request, collector):
+    ids = {request.span_id}
+    # Spans are appended in creation order, so one forward pass links
+    # every descendant (a child is always created after its parent).
+    for span in collector.spans:
+        if span.parent_id in ids:
+            ids.add(span.span_id)
+    return ids
+
+
+def _oracle_attribute_request(request, collector):
+    assert request.end_ns is not None
+    descendants = _oracle_descendant_ids(request, collector)
+    breakdown = {}
+    for span in collector.spans:
+        category = BLAME.get(span.kind)
+        if category is None or span.end_ns is None:
+            continue
+        if span.span_id in descendants:
+            ns = span.end_ns - span.start_ns
+        else:
+            ns = span.overlap_ns(request.start_ns, request.end_ns)
+        if ns > 0:
+            breakdown[category] = breakdown.get(category, 0) + ns
+    if not breakdown:
+        latency = request.end_ns - request.start_ns
+        return {"blame": SELF_BLAME, "blame_ns": latency,
+                "breakdown": {}}
+    blame = min(breakdown, key=lambda cat: (-breakdown[cat], cat))
+    return {"blame": blame, "blame_ns": breakdown[blame],
+            "breakdown": dict(sorted(breakdown.items()))}
+
+
+def _oracle_collect_cell(collector, cell, spec):
+    phase_values = {}
+    violations = []
+    requests = answered = 0
+    for request in collector.request_spans():
+        if request.end_ns is None:
+            continue
+        requests += 1
+        if request.attrs.get("answered", True) \
+                and not request.attrs.get("error"):
+            answered += 1
+        latency = request.end_ns - request.start_ns
+        phase = _oracle_effective_phase(request, collector)
+        values = phase_values.setdefault(phase, {})
+        key = str(latency)
+        values[key] = values.get(key, 0) + 1
+        if spec.p99_ns is not None and latency > spec.p99_ns:
+            attribution = _oracle_attribute_request(request, collector)
+            violations.append({
+                "cell": cell,
+                "client": request.attrs.get("client", ""),
+                "start_ns": request.start_ns,
+                "latency_ns": latency,
+                "budget_ns": spec.p99_ns,
+                "phase": phase,
+                "blame": attribution["blame"],
+                "blame_ns": attribution["blame_ns"],
+                "breakdown": attribution["breakdown"],
+            })
+    return {
+        "cell": cell,
+        "requests": requests,
+        "answered": answered,
+        "spans": len(collector.spans),
+        "span_kinds": collector.kind_tally(),
+        "phase_values": phase_values,
+        "violations": violations,
+    }
+
+
+#: Requests, pauses, every blameable kind, and kinds nothing blames.
+SPAN_KINDS = ["request", "dsu.quiesce", "dsu.fork", *sorted(BLAME),
+              "dsu.update", "fleet.round"]
+times = st.integers(min_value=0, max_value=120)
+request_attrs = st.fixed_dictionaries({}, optional={
+    "answered": st.booleans(), "error": st.booleans(),
+    "client": st.sampled_from(["c0", "c1"])})
+
+
+@st.composite
+def span_collectors(draw):
+    """A collector built from random open/close nesting, born-closed
+    spans (parents dynamic, backward, forward, self or missing), phase
+    changes, zero-length spans and spans left open."""
+    c = SpanCollector()
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        op = draw(st.sampled_from(["open", "close", "add", "phase"]))
+        if op == "open":
+            c.open(draw(st.sampled_from(SPAN_KINDS)), "unit", draw(times))
+        elif op == "close" and c.current is not None:
+            span = c.current
+            length = draw(st.integers(min_value=0, max_value=60))
+            attrs = (draw(request_attrs) if span.kind == "request"
+                     else {})
+            c.close(span, span.start_ns + length, **attrs)
+        elif op == "add":
+            kind = draw(st.sampled_from(SPAN_KINDS))
+            start = draw(times)
+            length = draw(st.integers(min_value=0, max_value=60))
+            parent = draw(st.one_of(
+                st.none(),
+                st.integers(min_value=1, max_value=c._next_id + 3),
+                st.just(10**6)))
+            attrs = draw(request_attrs) if kind == "request" else {}
+            c.add(kind, "unit", start, start + length, parent=parent,
+                  **attrs)
+        elif op == "phase":
+            c.set_phase(draw(st.sampled_from(PHASES)))
+    return c
+
+
+def _indexed_descendant_ids(request, collector):
+    _, links = _blame_index(collector.spans)
+    ids = {request.span_id}
+    for position, span in enumerate(collector.spans):
+        if _descends_from(request.span_id, position, span.parent_id,
+                          links):
+            ids.add(span.span_id)
+    return ids
+
+
+class TestIndexedCellMatchesTheRescan:
+    @given(c=span_collectors(),
+           p99_ns=st.one_of(st.none(), st.integers(min_value=0,
+                                                   max_value=60)))
+    @settings(max_examples=300, deadline=None)
+    def test_all_four_reductions_match_the_oracle(self, c, p99_ns):
+        for request in c.request_spans():
+            assert effective_phase(request, c) \
+                == _oracle_effective_phase(request, c)
+            if request.end_ns is None:
+                continue
+            assert json.dumps(sorted(_indexed_descendant_ids(request, c))) \
+                == json.dumps(sorted(_oracle_descendant_ids(request, c)))
+            assert json.dumps(attribute_request(request, c)) \
+                == json.dumps(_oracle_attribute_request(request, c))
+        spec = SloSpec("unit", p99_ns=p99_ns)
+        assert json.dumps(collect_cell(c, "unit", spec)) \
+            == json.dumps(_oracle_collect_cell(c, "unit", spec))
+
+    def test_a_parent_created_after_its_child_is_no_ancestor(self):
+        c = SpanCollector()
+        # Span 1 names span 3, a child of the request, as its parent
+        # before span 3 exists.
+        early = c.add("mve.ring-stall", "mve", 0, 500, parent=3)
+        request = c.open("request", "gateway", 100)
+        child = c.add("dsu.xform", "dsu", 100, 110)
+        c.close(request, 200)
+        assert child.span_id == 3 and child.parent_id == request.span_id
+        # The transform counts in full; the forward-linked stall only by
+        # its 100 ns overlap, not its 500 ns duration.
+        assert early.span_id not in _oracle_descendant_ids(request, c)
+        assert attribute_request(request, c) == {
+            "blame": "ring-stall", "blame_ns": 100,
+            "breakdown": {"ring-stall": 100, "transform": 10}}
+
+
+class _CountingSpans(list):
+    """A span list that counts the passes made over it."""
+
+    def __init__(self, spans):
+        super().__init__(spans)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def _cell_passes(requests):
+    c = SpanCollector()
+    for index in range(requests):
+        request = c.open("request", "gateway", index * 100)
+        if index % 1000 == 0:
+            c.add("mve.ring-stall", "mve", index * 100, index * 100 + 80)
+        # Every 10th request blows the 50 ns budget.
+        c.close(request, index * 100 + (90 if index % 10 == 0 else 20))
+    c.add("dsu.quiesce", "dsu", 250, 400)
+    c.spans = _CountingSpans(c.spans)
+    cell = collect_cell(c, "unit", SloSpec("unit", p99_ns=50))
+    assert cell["requests"] == requests
+    assert len(cell["violations"]) == requests // 10
+    return c.spans.passes
+
+
+def test_collect_cell_passes_do_not_grow_with_requests():
+    # Counts, not wall clock: a per-request rescan of the spans shows up
+    # as passes that grow with the request count.
+    small, large = _cell_passes(10), _cell_passes(10_000)
+    assert small == large
+    assert large <= 4
 
 
 # ---------------------------------------------------------------------------
