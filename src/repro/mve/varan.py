@@ -220,7 +220,7 @@ class VaranRuntime:
             self.observer(event)
         tracer = self.kernel.tracer
         if tracer is not None:
-            tracer.emit(f"mve.{kind}", "mve", at=at, detail=detail)
+            tracer.on_mve(kind, at, detail)
 
     def event_kinds(self) -> List[str]:
         """Just the kinds, in order — convenient for assertions."""

@@ -28,10 +28,13 @@ parent.  Known-interval waits (a ring stall is ``[t, freed_at]`` the
 moment it resolves) use :meth:`SpanCollector.add` and are born closed.
 
 The collector mirrors the tracer's zero-cost contract: spans are off by
-default (``Tracer(spans=False)`` keeps ``tracer.spans`` None), every
-instrumented call site guards with ``spans is not None``, and the
-class-level tallies (``created_total`` / ``opened_total``) let the
-overhead test assert the disabled path allocates *zero* span objects.
+default (``Tracer()`` keeps ``tracer.spans`` None), every instrumented
+call site guards with ``spans is not None``, and the class-level
+tallies (``created_total`` / ``opened_total``) let the overhead test
+assert the disabled path allocates *zero* span objects.  A tracer
+records either trace events or spans, never both: ``Tracer(spans=True)``
+builds a collector and no event log (see :class:`repro.obs.trace.Tracer`
+for what span mode keeps).
 
 Spans export as JSONL (schema ``repro-span/1``): a header line then one
 line per span.  ``validate_span_lines`` / ``validate_span_file`` check

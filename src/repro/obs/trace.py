@@ -6,6 +6,8 @@ MVE runtime, and the DSU engine.  The design constraint is the paper's:
 the common case is *no* observer, and then tracing must cost nothing.
 Every hook therefore reduces to one attribute load plus an ``is None``
 test — no wrappers, no decorators, no conditional imports on hot paths.
+``Tracer(spans=True)`` records causal spans (:mod:`repro.obs.spans`)
+instead of events; its event hooks do no work.
 
 The tracer is found two ways:
 
@@ -88,6 +90,10 @@ class TraceEvent:
 class Tracer:
     """Collects trace events, metrics, and divergence forensics.
 
+    ``Tracer()`` (event mode) records the ``repro-trace/1`` event log
+    and its metrics.  ``Tracer(spans=True)`` (span mode) returns a
+    :class:`_SpanTracer`, which records spans only.
+
     Class-level tallies (``created_total``, ``emitted_total``) exist so
     the overhead regression test can assert the disabled path creates
     *nothing* — counts, not wall-clock.
@@ -98,6 +104,10 @@ class Tracer:
     #: Trace events ever emitted, across all tracers (process lifetime).
     emitted_total = 0
 
+    def __new__(cls, experiment: str = "", last_k: int = DEFAULT_LAST_K,
+                spans: bool = False) -> "Tracer":
+        return super().__new__(_SpanTracer if spans else cls)
+
     def __init__(self, experiment: str = "",
                  last_k: int = DEFAULT_LAST_K,
                  spans: bool = False) -> None:
@@ -105,9 +115,9 @@ class Tracer:
         self.experiment = experiment
         self.events: List[TraceEvent] = []
         self.metrics = MetricsRegistry()
-        #: Causal span collector, or None (the default): call sites guard
-        #: with ``tracer.spans is not None`` so span-off runs allocate no
-        #: span objects at all (see :mod:`repro.obs.spans`).
+        #: Causal span collector in span mode, else None: call sites
+        #: guard with ``tracer.spans is not None`` so event-mode runs
+        #: allocate no span objects at all (see :mod:`repro.obs.spans`).
         self.spans: Optional[SpanCollector] = \
             SpanCollector() if spans else None
         #: Most recently advanced virtual time; used to stamp events
@@ -201,9 +211,6 @@ class Tracer:
                   deliver_at=deliver_at)
         self.metrics.counter("ring.frames").inc()
         self.metrics.gauge("ring.inflight").set(inflight)
-        if self.spans is not None:
-            self.spans.add("net.ring", "net", at, deliver_at,
-                           sequence=sequence, bytes=n_bytes)
 
     def on_ring_resync(self, at: int, resyncs: int) -> None:
         """A distributed ring resynchronised its stream at a fork."""
@@ -243,6 +250,10 @@ class Tracer:
                 .observe(fields["ns"])
         if kind == "xform" and "ns" in fields:
             self.metrics.histogram("dsu.xform_ns").observe(fields["ns"])
+
+    def on_mve(self, kind: str, at: int, detail: str = "") -> None:
+        """The MVE runtime logged one lifecycle step (fork/promote/...)."""
+        self.emit(f"mve.{kind}", "mve", at=at, detail=detail)
 
     def on_stream_record(self, at: int, count: int) -> None:
         """The stream recorder persisted one leader iteration."""
@@ -290,6 +301,41 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as handle:
             for line in self.to_jsonl_lines():
                 handle.write(line + "\n")
+
+
+def _ignore(self: Tracer, *args: Any, **fields: Any) -> None:
+    """A span-mode event or metric hook: records nothing."""
+
+
+class _SpanTracer(Tracer):
+    """What ``Tracer(spans=True)`` builds: spans only, no event log.
+
+    Span-mode callers (the SLO, open-loop and fleet ``--slo`` cells)
+    read nothing but ``tracer.spans``, so every ``on_*`` hook not
+    defined here is :func:`_ignore`.  The three below keep what a
+    span-mode run still uses: the ring history behind
+    ``ForensicsBundle.ring_last_k``, the forensics bundles, and the
+    ``net.ring`` span of each distributed-ring frame.  :meth:`advance`
+    and the ``metrics`` registry work as in event mode.
+    """
+
+    def on_ring_replay(self, at: int, count: int, occupancy: int,
+                       entries: Iterable[Any] = ()) -> None:
+        self.ring_history.extend(entries)
+
+    def on_ring_frame(self, at: int, sequence: int, count: int,
+                      n_bytes: int, inflight: int,
+                      deliver_at: int) -> None:
+        self.spans.add("net.ring", "net", at, deliver_at,
+                       sequence=sequence, bytes=n_bytes)
+
+    def on_forensics(self, bundle: Any) -> None:
+        self.forensics.append(bundle)
+
+
+for _name in vars(Tracer):
+    if _name.startswith("on_") and _name not in vars(_SpanTracer):
+        setattr(_SpanTracer, _name, _ignore)
 
 
 # ---------------------------------------------------------------------------

@@ -74,16 +74,28 @@ def test_forensics_summary_names_the_records():
     assert "1000" in summary
 
 
-def test_tracer_collects_bundle_and_ring_history():
+def _traced_divergence(spans):
     kernel, mvedsua, client = _diverging_deployment()
-    tracer = Tracer(experiment="forensics", last_k=4).attach(kernel)
+    tracer = Tracer(experiment="forensics", last_k=4,
+                    spans=spans).attach(kernel)
     _force_divergence(mvedsua, client)
+    return tracer, mvedsua.runtime.last_forensics
+
+
+@pytest.mark.parametrize("spans", [False, True], ids=["events", "spans"])
+def test_tracer_collects_bundle_and_ring_history(spans):
+    tracer, last = _traced_divergence(spans)
 
     assert len(tracer.forensics) == 1
     bundle = tracer.forensics[0]
-    assert bundle is mvedsua.runtime.last_forensics
+    assert bundle is last
     # With a tracer attached the last-K window honours its deque bound.
     assert len(bundle.ring_last_k) <= 4
+    # Span mode keeps the ring history, so both modes build one bundle.
+    assert bundle.as_dict() == _traced_divergence(False)[1].as_dict()
+    if spans:
+        assert tracer.events == []
+        return
     kinds = tracer.kind_tally()
     assert kinds.get("divergence.forensics") == 1
     assert tracer.metrics.snapshot()["divergence.detected"]["value"] == 1

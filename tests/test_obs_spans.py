@@ -61,12 +61,15 @@ class TestDisabledPath:
     def test_enabled_path_actually_records(self):
         # Control experiment: the same workload with spans enabled does
         # record — proving the zeros above measure the guard, not dead
-        # hooks.
+        # hooks.  A span-mode tracer records spans only: no trace event.
+        emitted_before = Tracer.emitted_total
         with tracing(Tracer(experiment="span-control",
                             spans=True)) as tracer:
             thunk = build_rule_heavy_mve_redis(8)
             thunk()
         assert tracer.spans is not None
+        assert tracer.events == []
+        assert Tracer.emitted_total == emitted_before
         tally = tracer.spans.kind_tally()
         assert tally.get("request", 0) == 8
         assert all(span.end_ns is not None
